@@ -60,26 +60,4 @@ object InfoGain {
     }
     h0 - expected
   }
-
-  /** Uniform entropy `H(T_ij)` of §5.1 (for the Entropy heuristic, which the
-    * paper shows is biased toward continuous cells).
-    */
-  def uniformEntropy(isCategorical: Boolean, probs: Array[Double], tPhi: Double): Double =
-    if (isCategorical) shannonEntropy(probs) else differentialEntropy(tPhi)
-
-  /** Inherent gain of assigning cell (i,j) to worker u, from an inference
-    * snapshot (paper Eq. 6).
-    */
-  def inherentGain(res: TCrowdResult, labelCount: Map[Int, Int], priorVar: Double)(
-      u: Int, i: Int, j: Int): Double = {
-    val v = res.cellVariance(u, i, j)
-    labelCount.get(j).filter(_ > 0) match {
-      case Some(l) =>
-        val probs = res.catPosterior.getOrElse((i, j), Array.fill(l)(1.0 / l))
-        categoricalGain(probs, quality(res.eps, v))
-      case None =>
-        val tPhi = res.contPosterior.get((i, j)).map(_._2).getOrElse(priorVar)
-        continuousGain(tPhi, v)
-    }
-  }
 }

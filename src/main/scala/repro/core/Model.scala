@@ -85,17 +85,23 @@ object Model {
   /** Per-column mean/std of the *answers* of continuous columns, used to
     * z-normalize values so a single worker variance is meaningful across
     * columns of different scales (see DESIGN.md §6). Std is floored at 1e-9
-    * so constant columns normalize to 0 rather than NaN.
+    * so constant columns normalize to 0 rather than NaN. One Spark job: the
+    * values are collected and summed locally in sorted order, so the
+    * stats do not depend on the answers' order or partitioning.
     */
   def continuousStats(ds: CrowdDataset): Map[Int, (Double, Double)] = {
     val contCols = ds.continuousCols.map(_.col)
     if (contCols.isEmpty) return Map.empty
     ds.answers
       .filter(col("col").isin(contCols: _*))
-      .groupBy("col")
-      .agg(avg("value").as("mu"), coalesce(stddev_pop(col("value")), lit(0.0)).as("sd"))
+      .select("col", "value")
       .collect()
-      .map(r => r.getInt(0) -> (r.getDouble(1), math.max(r.getDouble(2), 1e-9)))
-      .toMap
+      .groupMap(_.getInt(0))(_.getDouble(1))
+      .map { case (c, values) =>
+        val vs = values.sorted(Ordering.Double.TotalOrdering)
+        val mu = vs.sum / vs.length
+        val sd = math.sqrt(vs.map(v => (v - mu) * (v - mu)).sum / vs.length)
+        c -> (mu, math.max(sd, 1e-9))
+      }
   }
 }

@@ -1,9 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.MathUtil._
+import scala.collection.immutable.ArraySeq
 
 /** Configuration of the T-Crowd EM truth-inference algorithm (paper §4).
   *
@@ -75,194 +74,207 @@ final case class TCrowdResult(
 
 /** T-Crowd truth inference (paper §4): EM over a unified worker model.
   *
-  * Spark layout (DESIGN.md §6): the normalized answer relation is a cached
-  * DataFrame; each E-step is a `groupBy(row,col)` aggregation; each M-step
-  * gradient step is one aggregation over per-answer gradient contributions
-  * exploded to their (worker | row | col) parameter keys. The small
-  * parameter vectors round-trip through the driver between steps, which
-  * bounds lineage depth without checkpointing.
+  * Execution (DESIGN.md §6): the answer relation is collected once and
+  * sorted by (row, col, worker, value), so the result does not depend on the
+  * input's order or partitioning. Worker, row and column ids are remapped
+  * to `0..n-1` and the answers held as primitive arrays; a cell's answers are
+  * contiguous, so cells are offsets into those arrays. The E-step and every
+  * M-step gradient step are plain loops over them. An inference therefore
+  * runs two Spark jobs (the collect and `Model.continuousStats`) whatever its
+  * iteration count.
   */
 object TCrowd {
 
-  def infer(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): TCrowdResult = {
-    val spark = ds.answers.sparkSession
-    val labelCount = ds.labelCount.filter(_._2 > 0)
-    val catColSet  = labelCount.keySet
-    val stats      = Model.continuousStats(ds)
+  private val answerOrder: Ordering[Answer] =
+    Ordering.by((a: Answer) => (a.row, a.col, a.worker))
+      .orElse(Ordering.Double.TotalOrdering.on[Answer](_.value))
 
-    // --- normalized, typed answer relation (cached once) ------------------
-    val normUdf = udf { (c: Int, v: Double) =>
-      stats.get(c) match {
-        case Some((mu, sd)) => (v - mu) / sd
-        case None           => v
+  def infer(ds: CrowdDataset, cfg: TCrowdConfig = TCrowdConfig()): TCrowdResult = {
+    val stats   = Model.continuousStats(ds)
+    val answers = ds.answers.select("worker", "row", "col", "value").collect()
+      .map(r => Answer(r.getInt(0), r.getInt(1), r.getInt(2), r.getDouble(3)))
+      .sorted(answerOrder)
+    val n = answers.length
+
+    // --- dense ids and z-normalized values --------------------------------
+    // Sorted distinct ids and, per answer, its index into them.
+    def dense(ids: Array[Int]): (Array[Int], Array[Int]) = {
+      val uniq = ids.distinct.sorted
+      val idx  = uniq.zipWithIndex.toMap
+      (uniq, ids.map(idx))
+    }
+    val (workerIds, aw) = dense(answers.map(_.worker))
+    val (rowIds, ar)    = dense(answers.map(_.row))
+    val colIds = ds.columns.map(_.col).toArray
+    val labels = ds.columns.map(_.numLabels).toArray // 0 = continuous
+    val colIdx = colIds.zipWithIndex.toMap
+    val ac = answers.map(a => colIdx.getOrElse(a.col,
+      throw new IllegalArgumentException(s"answer on column ${a.col}, not in ${ds.name}'s columns")))
+    val av = answers.map { a =>
+      stats.get(a.col) match {
+        case Some((mu, sd)) => (a.value - mu) / sd
+        case None           => a.value
       }
     }
-    val ans = ds.answers
-      .select(col("worker"), col("row"), col("col"),
-              normUdf(col("col"), col("value")).as("value"),
-              col("col").isin(catColSet.toSeq.map(_.asInstanceOf[Any]): _*).as("isCat"))
-      .cache()
-    ans.count() // materialize
+    // Cell k holds the answers cellStart(k) until cellStart(k + 1).
+    val cellStart = (0 until n).filter(a => a == 0 || ar(a) != ar(a - 1) || ac(a) != ac(a - 1))
+      .toArray :+ n
+    val nCells = cellStart.length - 1
+    def cellLabels(k: Int): Int = labels(ac(cellStart(k)))
 
-    val workers = ans.select("worker").distinct().collect().map(_.getInt(0))
-    val rows    = ans.select("row").distinct().collect().map(_.getInt(0))
-    val cols    = ds.columns.map(_.col)
-
-    var lnPhi   = workers.map(_ -> 0.0).toMap
-    var lnAlpha = rows.map(_ -> 0.0).toMap
-    var lnBeta  = cols.map(_ -> 0.0).toMap
-
-    def lnS(u: Int, i: Int, j: Int): Double =
-      lnAlpha.getOrElse(i, 0.0) + lnBeta.getOrElse(j, 0.0) + lnPhi.getOrElse(u, 0.0)
+    val lnPhi   = new Array[Double](workerIds.length)
+    val lnAlpha = new Array[Double](rowIds.length)
+    val lnBeta  = new Array[Double](colIds.length)
+    def lnS(a: Int): Double = lnAlpha(ar(a)) + lnBeta(ac(a)) + lnPhi(aw(a))
 
     // --- E-step -----------------------------------------------------------
     // Continuous: Gaussian posterior with precision weights 1/(alpha beta phi)
     // plus the N(0, priorVar) column prior. Categorical: per-label log-score
     // sum of ln q - ln((1-q)/(L-1)) over supporting answers, softmax over the
     // full label set (unvoted labels score 0 relative — see paper Eq. 4).
-    def eStep(): (Map[(Int, Int), (Double, Double)], Map[(Int, Int), Array[Double]]) = {
-      val la = lnAlpha; val lb = lnBeta; val lp = lnPhi; val pv = cfg.priorVar
-      val wUdf = udf { (u: Int, i: Int, j: Int) =>
-        math.exp(-(la.getOrElse(i, 0.0) + lb.getOrElse(j, 0.0) + lp.getOrElse(u, 0.0)))
-      }
-      val contPost = ans.filter(!col("isCat"))
-        .withColumn("w", wUdf(col("worker"), col("row"), col("col")))
-        .groupBy("row", "col")
-        .agg(sum("w").as("sw"), sum(expr("w * value")).as("swv"))
-        .collect()
-        .map { r =>
-          val sw = r.getDouble(2); val swv = r.getDouble(3)
-          val tphi = 1.0 / (sw + 1.0 / pv)
-          ((r.getInt(0), r.getInt(1)), (swv * tphi, tphi))
-        }.toMap
-
-      val lc = labelCount; val eps = cfg.eps
-      val lamUdf = udf { (u: Int, i: Int, j: Int) =>
-        val s = math.exp(la.getOrElse(i, 0.0) + lb.getOrElse(j, 0.0) + lp.getOrElse(u, 0.0))
-        val q = quality(eps, s)
-        val l = lc(j)
-        math.log(q) - math.log((1.0 - q) / (l - 1))
-      }
-      val scored = ans.filter(col("isCat"))
-        .withColumn("lam", lamUdf(col("worker"), col("row"), col("col")))
-        .groupBy("row", "col", "value")
-        .agg(sum("lam").as("score"))
-        .collect()
-        .groupBy(r => (r.getInt(0), r.getInt(1)))
-        .map { case (cell, rs) =>
-          cell -> rs.map(r => r.getDouble(2).toInt -> r.getDouble(3)).toMap
+    val postMu  = new Array[Double](nCells)
+    val postVar = new Array[Double](nCells)
+    val postCat = new Array[Array[Double]](nCells)
+    def eStep(): Unit = {
+      var k = 0
+      while (k < nCells) {
+        val l = cellLabels(k)
+        var a = cellStart(k)
+        if (l > 0) {
+          val score = new Array[Double](l)
+          while (a < cellStart(k + 1)) {
+            val q = quality(cfg.eps, math.exp(lnS(a)))
+            score(av(a).toInt) += math.log(q) - math.log((1.0 - q) / (l - 1))
+            a += 1
+          }
+          postCat(k) = softmax(ArraySeq.unsafeWrapArray(score)).toArray
+        } else {
+          var sw = 0.0; var swv = 0.0
+          while (a < cellStart(k + 1)) {
+            val w = math.exp(-lnS(a))
+            sw += w; swv += w * av(a)
+            a += 1
+          }
+          postVar(k) = 1.0 / (sw + 1.0 / cfg.priorVar)
+          postMu(k) = swv * postVar(k)
         }
-      val catPost = scored.map { case (cell @ (_, j), byLabel) =>
-        val l = labelCount(j)
-        val probs = softmax((0 until l).map(z => byLabel.getOrElse(z, 0.0))).toArray
-        cell -> probs
+        k += 1
       }
-      (contPost, catPost)
     }
 
-    var (contPost, catPost) = eStep()
+    // --- M-step -----------------------------------------------------------
+    // Per-answer sufficient statistic, fixed given the posteriors:
+    //   continuous: s = (a - T_mu)^2 + T_phi       (paper Eq. 5 term)
+    //   categorical: s = posterior prob of the answered label
+    val stat = new Array[Double](n)
+    def fillStats(): Unit = {
+      var k = 0
+      while (k < nCells) {
+        var a = cellStart(k)
+        while (a < cellStart(k + 1)) {
+          stat(a) =
+            if (cellLabels(k) > 0) postCat(k)(av(a).toInt)
+            else { val d = av(a) - postMu(k); d * d + postVar(k) }
+          a += 1
+        }
+        k += 1
+      }
+    }
+    def counts(ids: Array[Int], size: Int): Array[Int] = {
+      val c = new Array[Int](size); ids.foreach(k => c(k) += 1); c
+    }
+    val nW = counts(aw, lnPhi.length); val nR = counts(ar, lnAlpha.length)
+    val nC = counts(ac, lnBeta.length)
+
+    // One gradient-ascent step on ln(phi), ln(alpha), ln(beta): each moves by
+    // lr times the mean gradient of its answers, all taken at the pre-step
+    // parameters. Returns the largest single-parameter change.
+    def gradientStep(): Double = {
+      val gW = new Array[Double](lnPhi.length)
+      val gR = new Array[Double](lnAlpha.length)
+      val gC = new Array[Double](lnBeta.length)
+      var a = 0
+      while (a < n) {
+        // d/d lnS of the expected log-likelihood of one answer; identical for
+        // ln(phi_u), ln(alpha_i), ln(beta_j) since lnS is their sum.
+        val sVar = math.exp(lnS(a))
+        val s = stat(a)
+        val g =
+          if (labels(ac(a)) > 0) {
+            val x  = cfg.eps / math.sqrt(2.0 * sVar)
+            val q  = quality(cfg.eps, sVar)
+            val dq = -x * math.exp(-x * x) / math.sqrt(math.Pi)
+            (s / q - (1.0 - s) / (1.0 - q)) * dq
+          } else -0.5 + s / (2.0 * sVar)
+        gW(aw(a)) += g; gR(ar(a)) += g; gC(ac(a)) += g
+        a += 1
+      }
+      var maxDelta = 0.0
+      def upd(p: Array[Double], gs: Array[Double], cnt: Array[Int], lo: Double, hi: Double): Unit = {
+        var k = 0
+        while (k < p.length) {
+          val g  = if (cnt(k) > 0) gs(k) / cnt(k) else 0.0
+          val nv = math.min(hi, math.max(lo, p(k) + cfg.lr * g))
+          maxDelta = math.max(maxDelta, math.abs(nv - p(k)))
+          p(k) = nv
+          k += 1
+        }
+      }
+      upd(lnPhi, gW, nW, -8.0, 3.0)
+      if (cfg.learnDifficulty) {
+        upd(lnAlpha, gR, nR, -2.5, 2.5)
+        upd(lnBeta, gC, nC, -2.5, 2.5)
+      }
+      maxDelta
+    }
+
+    eStep()
 
     // --- EM loop ----------------------------------------------------------
     var iter = 0
     var converged = false
     while (iter < cfg.maxIters && !converged) {
-      // M-step sufficient statistics are fixed given the posteriors:
-      //   continuous: s = (a - T_mu)^2 + T_phi       (paper Eq. 5 term)
-      //   categorical: s = posterior prob of the answered label
-      val cp = contPost; val kp = catPost
-      val statUdf = udf { (i: Int, j: Int, v: Double, isCat: Boolean) =>
-        if (isCat) kp.get((i, j)).map(_.apply(v.toInt)).getOrElse(0.5)
-        else {
-          val (mu, tphi) = cp((i, j))
-          (v - mu) * (v - mu) + tphi
-        }
-      }
-      val statDf = ans
-        .withColumn("s", statUdf(col("row"), col("col"), col("value"), col("isCat")))
-        .select("worker", "row", "col", "isCat", "s")
-        .cache()
-      statDf.count()
-
+      fillStats()
       var maxDelta = 0.0
-      var step = 0
-      while (step < cfg.gdSteps) {
-        val la = lnAlpha; val lb = lnBeta; val lp = lnPhi; val eps = cfg.eps
-        // d/d lnS of the expected log-likelihood of one answer; identical for
-        // ln(phi_u), ln(alpha_i), ln(beta_j) since lnS is their sum.
-        val gradUdf = udf { (u: Int, i: Int, j: Int, isCat: Boolean, s: Double) =>
-          val lnSv = la.getOrElse(i, 0.0) + lb.getOrElse(j, 0.0) + lp.getOrElse(u, 0.0)
-          val sVar = math.exp(lnSv)
-          if (isCat) {
-            val x  = eps / math.sqrt(2.0 * sVar)
-            val q  = quality(eps, sVar)
-            val dq = -x * math.exp(-x * x) / math.sqrt(math.Pi)
-            (s / q - (1.0 - s) / (1.0 - q)) * dq
-          } else {
-            -0.5 + s / (2.0 * sVar)
-          }
-        }
-        val grads = statDf
-          .withColumn("g", gradUdf(col("worker"), col("row"), col("col"), col("isCat"), col("s")))
-          .select(explode(array(
-            struct(lit("w").as("dim"), col("worker").as("key"), col("g")),
-            struct(lit("r").as("dim"), col("row").as("key"), col("g")),
-            struct(lit("c").as("dim"), col("col").as("key"), col("g")),
-          )).as("x"))
-          .select(col("x.dim"), col("x.key"), col("x.g"))
-          .groupBy("dim", "key")
-          .agg(sum("g").as("sg"), count(lit(1)).as("n"))
-          .collect()
-          .map(r => (r.getString(0), r.getInt(1)) -> (r.getDouble(2) / r.getLong(3)))
-          .toMap
-
-        def upd(m: Map[Int, Double], dim: String, lo: Double, hi: Double): Map[Int, Double] =
-          m.map { case (k, v) =>
-            val g = grads.getOrElse((dim, k), 0.0)
-            val nv = math.min(hi, math.max(lo, v + cfg.lr * g))
-            maxDelta = math.max(maxDelta, math.abs(nv - v))
-            k -> nv
-          }
-        lnPhi = upd(lnPhi, "w", -8.0, 3.0)
-        if (cfg.learnDifficulty) {
-          lnAlpha = upd(lnAlpha, "r", -2.5, 2.5)
-          lnBeta  = upd(lnBeta, "c", -2.5, 2.5)
-        }
-        step += 1
-      }
-      statDf.unpersist()
+      for (_ <- 0 until cfg.gdSteps) maxDelta = math.max(maxDelta, gradientStep())
 
       // Identifiability: alpha*beta*phi is scale-degenerate; re-center row and
       // column difficulties to geometric mean 1 and fold the shift into phi
       // (leaves every alpha_i*beta_j*phi_u product unchanged).
       if (cfg.learnDifficulty && lnAlpha.nonEmpty && lnBeta.nonEmpty) {
-        val ma = lnAlpha.values.sum / lnAlpha.size
-        val mb = lnBeta.values.sum / lnBeta.size
-        lnAlpha = lnAlpha.map { case (k, v) => k -> (v - ma) }
-        lnBeta  = lnBeta.map { case (k, v) => k -> (v - mb) }
-        lnPhi   = lnPhi.map { case (k, v) => k -> math.min(3.0, math.max(-8.0, v + ma + mb)) }
+        val ma = lnAlpha.sum / lnAlpha.length
+        val mb = lnBeta.sum / lnBeta.length
+        lnAlpha.mapInPlace(_ - ma)
+        lnBeta.mapInPlace(_ - mb)
+        lnPhi.mapInPlace(v => math.min(3.0, math.max(-8.0, v + ma + mb)))
       }
 
-      val (ncp, nkp) = eStep()
-      contPost = ncp; catPost = nkp
+      eStep()
       iter += 1
       converged = maxDelta < cfg.tol
     }
-    ans.unpersist()
 
-    // --- point estimates (denormalized) -----------------------------------
+    // --- results keyed by the original ids (continuous denormalized) ------
+    val (catCells, contCells) = (0 until nCells).partition(cellLabels(_) > 0)
+    def cell(k: Int): (Int, Int) = (answers(cellStart(k)).row, answers(cellStart(k)).col)
     val est =
-      contPost.map { case ((i, j), (mu, _)) =>
-        val (m, sd) = stats((j))
-        TruthCell(i, j, mu * sd + m)
-      }.toSeq ++
-      catPost.map { case ((i, j), probs) =>
+      contCells.map { k =>
+        val (i, j) = cell(k)
+        val (m, sd) = stats(j)
+        TruthCell(i, j, postMu(k) * sd + m)
+      } ++
+      catCells.map { k =>
+        val (i, j) = cell(k)
+        val probs = postCat(k)
         TruthCell(i, j, probs.indices.maxBy(probs.apply).toDouble)
-      }.toSeq
+      }
+    def expBy(ids: Array[Int], ln: Array[Double]): Map[Int, Double] =
+      ids.indices.map(k => ids(k) -> math.exp(ln(k))).toMap
 
-    TCrowdResult(est, contPost, catPost,
-      lnPhi.map { case (k, v) => k -> math.exp(v) },
-      lnAlpha.map { case (k, v) => k -> math.exp(v) },
-      lnBeta.map { case (k, v) => k -> math.exp(v) },
+    TCrowdResult(est,
+      contCells.map(k => cell(k) -> (postMu(k), postVar(k))).toMap,
+      catCells.map(k => cell(k) -> postCat(k)).toMap,
+      expBy(workerIds, lnPhi), expBy(rowIds, lnAlpha), expBy(colIds, lnBeta),
       stats, cfg.eps, iter, converged)
   }
 

@@ -143,6 +143,38 @@ class AssignmentSpec extends CrowdSpec {
            Assignment.inherentGain(st.snapshot, 1, 0, 0))
   }
 
+  // Snapshot of one categorical (0,0) and one continuous (0,1) cell with a
+  // good worker 7 and a poor worker 8.
+  private def twoWorkerSnapshot: Snapshot = new Snapshot(TCrowdResult(
+    estimatesLocal = Seq.empty,
+    contPosterior = Map((0, 1) -> (0.0, 0.5)),
+    catPosterior = Map((0, 0) -> Array(0.6, 0.4)),
+    phi = Map(7 -> 0.5, 8 -> 4.0),
+    alpha = Map(0 -> 1.0),
+    beta = Map(0 -> 1.0, 1 -> 1.0),
+    contStats = Map(1 -> (0.0, 1.0)),
+    eps = 1.0, iterations = 1, converged = true), Map(0 -> 2, 1 -> 0), priorVar = 4.0)
+
+  test("inherentGain: better worker yields larger gain on both datatypes") {
+    val snap = twoWorkerSnapshot
+    def g(u: Int, i: Int, j: Int) = Assignment.inherentGain(snap, u, i, j)
+    assert(g(7, 0, 0) > g(8, 0, 0)) // categorical cell
+    assert(g(7, 0, 1) > g(8, 0, 1)) // continuous cell
+  }
+
+  test("inherentGain falls back to uniform/prior for unseen cells") {
+    val snap = twoWorkerSnapshot
+    // unseen categorical cell (5,0): uniform prior -> positive gain
+    assert(Assignment.inherentGain(snap, 7, 5, 0) > 0)
+    // unseen continuous cell (5,1): prior variance -> positive gain
+    assert(Assignment.inherentGain(snap, 7, 5, 1) > 0)
+  }
+
+  test("inherentGain for an unknown worker uses unit variance") {
+    val unknown = Assignment.inherentGain(twoWorkerSnapshot, 999, 0, 1)
+    assert(math.abs(unknown - InfoGain.continuousGain(0.5, 1.0)) < 1e-12)
+  }
+
   test("structureAwareGain falls back to inherent gain without a model") {
     val st = mkState()
     val a = Assignment.structureAwareGain(st, 0, 0, 0)

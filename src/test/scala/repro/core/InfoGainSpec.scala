@@ -101,44 +101,4 @@ class InfoGainSpec extends AnyFunSuite {
   test("categoricalGain of a single-label cell is 0") {
     assert(categoricalGain(Array(1.0), 0.9) == 0.0)
   }
-
-  // ------------------------------------------------------------------ uniform
-
-  test("uniformEntropy dispatches by datatype") {
-    val p = Array(0.25, 0.75)
-    assert(uniformEntropy(isCategorical = true, p, 99.0) == shannonEntropy(p))
-    assert(uniformEntropy(isCategorical = false, p, 2.0) == differentialEntropy(2.0))
-  }
-
-  // ---------------------------------------------------------------- snapshot
-
-  private def fakeResult: TCrowdResult = TCrowdResult(
-    estimatesLocal = Seq.empty,
-    contPosterior = Map((0, 1) -> (0.0, 0.5)),
-    catPosterior = Map((0, 0) -> Array(0.6, 0.4)),
-    phi = Map(7 -> 0.5, 8 -> 4.0),
-    alpha = Map(0 -> 1.0),
-    beta = Map(0 -> 1.0, 1 -> 1.0),
-    contStats = Map(1 -> (0.0, 1.0)),
-    eps = 1.0, iterations = 1, converged = true)
-
-  test("inherentGain: better worker yields larger gain on both datatypes") {
-    val g = inherentGain(fakeResult, Map(0 -> 2, 1 -> 0), priorVar = 4.0) _
-    assert(g(7, 0, 0) > g(8, 0, 0)) // categorical cell
-    assert(g(7, 0, 1) > g(8, 0, 1)) // continuous cell
-  }
-
-  test("inherentGain falls back to uniform/prior for unseen cells") {
-    val g = inherentGain(fakeResult, Map(0 -> 2, 1 -> 0), priorVar = 4.0) _
-    // unseen categorical cell (5,0): uniform prior -> positive gain
-    assert(g(7, 5, 0) > 0)
-    // unseen continuous cell (5,1): prior variance -> positive gain
-    assert(g(7, 5, 1) > 0)
-  }
-
-  test("inherentGain for an unknown worker uses unit variance") {
-    val g = inherentGain(fakeResult, Map(0 -> 2, 1 -> 0), priorVar = 4.0) _
-    val unknown = g(999, 0, 1)
-    assert(math.abs(unknown - continuousGain(0.5, 1.0)) < 1e-12)
-  }
 }

@@ -58,6 +58,8 @@ class ModelSpec extends CrowdSpec {
       "SELECT col, avg(CAST(value AS DOUBLE)) AS mu, stddev_pop(CAST(value AS DOUBLE)) AS sd " +
         "FROM answers WHERE col = '1' GROUP BY col",
       "answers" -> ds.answers)
+    val agg = sparkAgg.collect().head
+    assert(math.abs(mu - agg.getDouble(1)) < 1e-9 && math.abs(sd - agg.getDouble(2)) < 1e-9)
     assert(math.abs(mu - 16.0) < 1e-9)
     assert(sd > 0)
   }

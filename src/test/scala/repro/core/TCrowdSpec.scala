@@ -1,8 +1,13 @@
 package repro.core
 
+import java.util.UUID
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.TestListenerBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.CrowdSpec
-import repro.crowd.{CrowdSim, SimColumn, SimConfig}
+import repro.crowd.{CrowdSim, SimColumn, SimConfig, Surrogates}
 import repro.metrics.Metrics
+import scala.io.Source
 
 /** Detailed behaviour of the T-Crowd EM algorithm (paper §4). */
 class TCrowdSpec extends CrowdSpec {
@@ -159,5 +164,117 @@ class TCrowdSpec extends CrowdSpec {
   test("iteration count respects maxIters") {
     val r = TCrowd.infer(ds, TCrowdConfig(maxIters = 3, gdSteps = 2))
     assert(r.iterations <= 3)
+  }
+
+  // ------------------------------------------------- kernel vs. reference
+
+  // tcrowd-golden.tsv holds alpha/beta/phi and both posteriors from the
+  // earlier DataFrame implementation of this EM (same model, one Spark
+  // aggregation per E-step and per gradient step), at maxIters = 10,
+  // gdSteps = 4 and tol = 0, so both run exactly 10 iterations. Datasets:
+  // sim40 (this suite's `ds`), restaurant (the surrogate) and
+  // sim40-col3-unanswered (`ds` without column 3's answers, which keeps a
+  // never-answered column in beta). Lines are `dataset kind key... value...`
+  // with kind iterations|phi|alpha|beta|cont|cat.
+  private lazy val golden: Map[String, Seq[Array[String]]] = {
+    val src = Source.fromResource("tcrowd-golden.tsv")
+    try src.getLines().map(_.split('\t')).toSeq.groupBy(_(0)) finally src.close()
+  }
+
+  private def assertMatchesGolden(name: String, r: TCrowdResult): Unit = {
+    val lines = golden(name)
+    var worst = 0.0
+    def close(got: Double, want: String, what: => String): Unit = {
+      val d = math.abs(got - want.toDouble)
+      worst = math.max(worst, d)
+      assert(d <= 1e-9, s"$name $what: $got vs $want")
+    }
+    def count(kind: String) = lines.count(_(1) == kind)
+    assert(r.phi.size == count("phi") && r.alpha.size == count("alpha") &&
+           r.beta.size == count("beta") && r.contPosterior.size == count("cont") &&
+           r.catPosterior.size == count("cat"))
+    lines.foreach { f =>
+      def key = (f(2).toInt, f(3).toInt)
+      f(1) match {
+        case "iterations" => assert(r.iterations == f(2).toInt)
+        case "phi"        => close(r.phi(f(2).toInt), f(3), s"phi ${f(2)}")
+        case "alpha"      => close(r.alpha(f(2).toInt), f(3), s"alpha ${f(2)}")
+        case "beta"       => close(r.beta(f(2).toInt), f(3), s"beta ${f(2)}")
+        case "cont" =>
+          val (mu, tphi) = r.contPosterior(key)
+          close(mu, f(4), s"mu $key"); close(tphi, f(5), s"tphi $key")
+        case "cat" =>
+          val p = r.catPosterior(key)
+          assert(p.length == f.length - 4, s"labels of $key")
+          p.indices.foreach(z => close(p(z), f(4 + z), s"p $key($z)"))
+      }
+    }
+    info(f"$name: largest difference from the reference ${worst}%.2e")
+  }
+
+  private val goldenCfg = TCrowdConfig(maxIters = 10, gdSteps = 4, tol = 0.0)
+
+  test("kernel matches the reference EM on the 40-row simulation to 1e-9") {
+    assertMatchesGolden("sim40", TCrowd.infer(ds, goldenCfg))
+  }
+
+  test("kernel matches the reference EM on the Restaurant surrogate to 1e-9") {
+    assertMatchesGolden("restaurant", TCrowd.infer(Surrogates.restaurant(spark), goldenCfg))
+  }
+
+  test("kernel matches the reference EM with a never-answered column to 1e-9") {
+    assertMatchesGolden("sim40-col3-unanswered",
+      TCrowd.infer(ds.copy(answers = ds.answers.filter("col != 3")), goldenCfg))
+  }
+
+  test("kernel stops at the reference EM's iteration under a tolerance") {
+    // The reference converged on `ds` after these iterations (maxIters = 40,
+    // gdSteps = 4). Its stop test uses the largest single gradient-step
+    // change; at tol 0.15 counting the re-centering shift too would stop at 3.
+    for ((tol, iters) <- Seq(0.15 -> 1, 2e-2 -> 10, 5e-3 -> 20)) {
+      val r = TCrowd.infer(ds, TCrowdConfig(maxIters = 40, gdSteps = 4, tol = tol))
+      assert(r.converged && r.iterations == iters, s"tol=$tol stopped after ${r.iterations}")
+    }
+  }
+
+  /** Spark jobs started by `body`, counted under a job group of its own. */
+  private def jobsOf(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val group = s"jobs-${UUID.randomUUID()}"
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (e.properties != null && e.properties.getProperty("spark.jobGroup.id") == group)
+          jobs.incrementAndGet()
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "job count")
+      try body finally sc.clearJobGroup()
+      TestListenerBus.drain(sc)
+      jobs.get
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("inference runs at most 2 Spark jobs whatever the iteration count") {
+    for (iters <- Seq(2, 10)) {
+      val n = jobsOf(TCrowd.infer(ds, TCrowdConfig(maxIters = iters, gdSteps = 4, tol = 0.0)))
+      info(s"maxIters=$iters: $n jobs")
+      assert(n >= 1 && n <= 2, s"maxIters=$iters ran $n jobs")
+    }
+  }
+
+  test("result does not depend on answer order or partitioning") {
+    val reversed = Model.answersDf(spark,
+      ds.answers.collect().reverse.map(r => Answer(r.getInt(0), r.getInt(1), r.getInt(2), r.getDouble(3))).toSeq)
+    def fields(r: TCrowdResult) = (r.estimatesLocal, r.contPosterior,
+      r.catPosterior.map { case (k, p) => k -> p.toSeq }, r.phi, r.alpha, r.beta,
+      r.contStats, r.iterations, r.converged)
+    val base = fields(res)
+    for (parts <- Seq(1, 7)) {
+      val r = TCrowd.infer(ds.copy(answers = reversed.repartition(parts)),
+                           TCrowdConfig(maxIters = 10, gdSteps = 4))
+      assert(fields(r) == base, s"$parts partitions")
+    }
   }
 }
